@@ -9,6 +9,7 @@ Counter naming convention: ``<area>.<event>`` — e.g. ``msg.sent.GETS``,
 ``miss.remote_3hop``, ``dele.undelegate.capacity``.
 """
 
+import math
 from collections import defaultdict
 
 
@@ -46,6 +47,29 @@ class Stats:
 
     def __repr__(self):
         return "Stats(%d counters)" % len(self._counters)
+
+
+def quantile(counts, q):
+    """Nearest-rank ``q``-quantile of integer ``(value, count)`` pairs.
+
+    The answer is the smallest value whose cumulative count reaches
+    ``ceil(q * total)`` (at least rank 1), so it is always a value that
+    was actually observed.  Pairs may repeat a value (merging per-class
+    counts is concatenation) and need not be sorted; returns None when
+    the total count is zero.
+    """
+    if not 0 <= q <= 1:
+        raise ValueError("quantile q must be in [0, 1], got %r" % (q,))
+    pairs = sorted(counts)
+    total = sum(count for _value, count in pairs)
+    if not total:
+        return None
+    rank = max(1, math.ceil(q * total))
+    seen = 0
+    for value, count in pairs:
+        seen += count
+        if seen >= rank:
+            return value
 
 
 # Canonical counter names used across the simulator.  Kept in one place so

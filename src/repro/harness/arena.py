@@ -22,7 +22,6 @@ from dataclasses import replace
 from ..analysis.tables import render_table
 from ..common import params
 from ..common import stats as S
-from ..obs import TraceConfig, Tracer
 from ..protocol.arena import ARENA_PROTOCOLS, resolve_protocol
 from .runner import run_app
 from .sweep import SweepJob, _payload_from_run
@@ -35,55 +34,22 @@ DEFAULT_APPS = ("em3d", "ocean")
 
 def arena_runner(job):
     """Worker-side runner for arena cells (module-level so it pickles by
-    reference).  The normal sweep payload plus the traced miss-latency
-    histograms the report's p50/p95 columns come from."""
-    tracer = Tracer(TraceConfig(capture_messages=False))
+    reference).  The normal sweep payload plus the exact miss-latency
+    counts the report's p50/p95 columns come from."""
     run = run_app(job.app, job.config, num_cpus=job.num_cpus, seed=job.seed,
                   scale=job.scale, check_coherence=job.check_coherence,
-                  chaos=job.chaos, trace=tracer)
+                  chaos=job.chaos)
     payload = dict(_payload_from_run(run))
-    payload["obs"] = run.obs
+    payload["miss_latency"] = run.miss_latency
     return payload
 
 
-def _percentile(hist_doc, fraction):
-    """p-quantile upper bound from a serialised Histogram dict, or None."""
-    if not hist_doc or not hist_doc.get("count"):
-        return None
-    bounds, counts = hist_doc["bounds"], hist_doc["counts"]
-    threshold = fraction * hist_doc["count"]
-    seen = 0
-    for index, bucket_count in enumerate(counts):
-        seen += bucket_count
-        if seen >= threshold and bucket_count:
-            if index >= len(bounds):
-                return hist_doc["max"]
-            return bounds[index]
-    return hist_doc["max"]
-
-
-def _merged_latency(obs):
-    """One merged miss-latency histogram doc across the hop classes."""
-    if not obs:
-        return None
-    per_class = obs.get("miss_latency") or {}
-    merged = None
-    for doc in per_class.values():
-        if not doc or not doc.get("count"):
-            continue
-        if merged is None:
-            merged = {"bounds": list(doc["bounds"]),
-                      "counts": list(doc["counts"]),
-                      "count": doc["count"], "max": doc["max"]}
-        else:
-            # All obs histograms share MISS_LATENCY_BOUNDS; merge by bucket.
-            merged["counts"] = [a + b for a, b in
-                                zip(merged["counts"], doc["counts"])]
-            merged["count"] += doc["count"]
-            if doc["max"] is not None and (merged["max"] is None
-                                           or doc["max"] > merged["max"]):
-                merged["max"] = doc["max"]
-    return merged
+def latency_quantiles(payload):
+    """Exact (p50, p95) miss latency of a cell payload, merged across the
+    hop classes; (None, None) when the run completed no miss."""
+    pairs = [pair for counts in payload["miss_latency"].values()
+             for pair in counts]
+    return S.quantile(pairs, 0.50), S.quantile(pairs, 0.95)
 
 
 class ArenaReport:
@@ -101,7 +67,7 @@ class ArenaReport:
         """The report row for one cell, as a plain dict."""
         payload = self.cells[(app, protocol)]
         stats = payload["stats"]
-        latency = _merged_latency(payload.get("obs"))
+        p50, p95 = latency_quantiles(payload)
         return {
             "protocol": protocol,
             "cycles": payload["cycles"],
@@ -110,8 +76,8 @@ class ArenaReport:
             "miss_2hop": stats.get(S.MISS_2HOP, 0),
             "miss_3hop": stats.get(S.MISS_3HOP, 0),
             "updates_sent": stats.get(S.UPDATES_SENT, 0),
-            "miss_p50": _percentile(latency, 0.50),
-            "miss_p95": _percentile(latency, 0.95),
+            "miss_p50": p50,
+            "miss_p95": p95,
         }
 
     def render_text(self):
@@ -187,4 +153,4 @@ def arena_engine(jobs=1, cache=False, **kwargs):
 
 
 __all__ = ["ArenaReport", "DEFAULT_APPS", "arena_engine", "arena_runner",
-           "run_arena"]
+           "latency_quantiles", "run_arena"]

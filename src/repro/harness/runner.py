@@ -31,6 +31,10 @@ class AppRun:
     stats: dict
     trace: Optional[Tracer] = None
     obs: Optional[dict] = None  # RunResult.extras["obs"] when traced
+    #: RunResult.extras["miss_latency"]: exact per-class latency counts
+    #: (None on an AppRun rebuilt from a default sweep payload, which
+    #: carries only cycles + stats).
+    miss_latency: Optional[dict] = None
 
 
 def _resolve_tracer(trace):
@@ -67,7 +71,8 @@ def run_app(app, config, num_cpus=None, seed=12345, scale=1.0,
                   consumer_hist=consumer_histogram(result),
                   stats=result.stats,
                   trace=tracer,
-                  obs=result.extras.get("obs"))
+                  obs=result.extras.get("obs"),
+                  miss_latency=result.extras["miss_latency"])
 
 
 def run_matrix(apps, configs, seed=12345, scale=1.0, check_coherence=True,

@@ -61,7 +61,10 @@ from ..obs.metrics import Histogram, exponential_bounds
 #: 3: job content grew a ``runner`` identity tag, so custom-runner jobs
 #:    (fuzz corpora, the repro.serve traced runner) can share the cache
 #:    without replaying another runner's output.
-CACHE_FORMAT = 3
+#: 4: scale and arena payloads carry exact ``miss_latency`` counts (sorted
+#:    ``[cycles, count]`` pairs per hop class) instead of traced ``obs``
+#:    histograms.
+CACHE_FORMAT = 4
 
 #: Default cache location, relative to the current working directory.
 CACHE_DIR = ".repro_cache"

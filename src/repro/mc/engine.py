@@ -75,11 +75,13 @@ class ModelChecker:
                     self._parents[key] = None
                 else:
                     visited.add(key)
-                self._check_invariants(state)
-                frontier.append((state, 0))
+                self._check_invariants(state, key)
+                frontier.append((state, key, 0))
         max_depth = 0
         while frontier:
-            state, state_depth = frontier.popleft()
+            # Each entry carries its state's canonical key, computed once
+            # when the state was first reached.
+            state, state_key, state_depth = frontier.popleft()
             successors = 0
             for rule in self.rules:
                 for label, nxt in rule(state):
@@ -93,24 +95,24 @@ class ModelChecker:
                         raise StateSpaceExceeded(
                             "more than %d states reachable" % self.max_states)
                     if self.track_traces:
-                        self._parents[key] = (self.canonicalize(state), label)
+                        self._parents[key] = (state_key, label)
                     else:
                         visited.add(key)
                     max_depth = max(max_depth, state_depth + 1)
-                    self._check_invariants(nxt)
-                    frontier.append((nxt, state_depth + 1))
+                    self._check_invariants(nxt, key)
+                    frontier.append((nxt, key, state_depth + 1))
             if successors == 0 and not self.quiescent(state):
-                raise DeadlockError(state, self.trace(self.canonicalize(state)))
+                raise DeadlockError(state, self.trace(state_key))
         return CheckResult(states_explored=len(visited),
                           transitions=transitions, max_depth=max_depth,
                           rule_counts=rule_counts)
 
-    def _check_invariants(self, state):
+    def _check_invariants(self, state, key):
         for invariant in self.invariants:
             if not invariant(state):
                 raise InvariantViolation(
                     getattr(invariant, "__name__", repr(invariant)),
-                    state, self.trace(self.canonicalize(state)))
+                    state, self.trace(key))
 
     def trace(self, state) -> List[str]:
         """Rule labels from an initial state to ``state`` (counterexample)."""

@@ -43,6 +43,7 @@ class Hub(RequesterMixin, HomeMixin, ProducerMixin):
         self.events = system.events
         self.fabric = system.fabric
         self.stats = system.stats
+        self.miss_latency = system.miss_latency
         self.address_map = system.address_map
         self.checker = getattr(system, "checker", None)
         self.tracer = getattr(system, "tracer", None)

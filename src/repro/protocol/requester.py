@@ -176,6 +176,9 @@ class RequesterMixin:
         miss.done = True
         self.miss = None
         self._account_miss(path)
+        counts = self.miss_latency[path]
+        latency = self.events.now - miss.start_time
+        counts[latency] = counts.get(latency, 0) + 1
         if self.tracer is not None:
             self.tracer.miss_end(self.node, miss.addr, self.events.now,
                                  path.value, miss.retries, miss.start_time)

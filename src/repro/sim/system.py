@@ -25,6 +25,7 @@ from ..network.chaos import ChaosPolicy
 from ..network.fabric import Fabric
 from ..network.message import reset_msg_ids
 from ..protocol.arena import resolve_protocol
+from ..protocol.transactions import PathClass
 from .barrier import BarrierManager
 from .coherence_check import CoherenceChecker
 from .processor import Processor
@@ -59,6 +60,9 @@ class System:
         self.config = config
         self.events = EventQueue()
         self.stats = Stats()
+        # Exact miss latencies, always on: path class -> {cycles: count}.
+        # Kept out of ``stats`` so run digests and goldens never see it.
+        self.miss_latency = {path: {} for path in PathClass}
         self.tracer = tracer  # None = tracing disabled (the no-op fast path)
         # ``chaos`` may be a ChaosConfig or an already-built ChaosPolicy;
         # None (or an all-zero config) keeps the unperturbed fast path.
@@ -125,6 +129,10 @@ class System:
             ops_executed=sum(p.ops_executed for p in self.processors),
             events_processed=self.events.processed,
         )
+        result.extras["miss_latency"] = {
+            path.value: [[latency, count]
+                         for latency, count in sorted(counts.items())]
+            for path, counts in self.miss_latency.items()}
         if self.tracer is not None:
             self.tracer.finalize(self.events.now)
             result.extras["obs"] = self.tracer.metrics.summary()

@@ -115,3 +115,39 @@ class TestCanonicalization:
         ModelChecker([0], [rules], [record],
                      canonicalize=lambda s: 0).run()
         assert seen == [0]  # every successor collapses to class 0
+
+    @pytest.mark.parametrize("track_traces", [True, False])
+    def test_each_state_canonicalised_once(self, track_traces):
+        """One canonicalisation per initial state and per transition: a
+        parent's key rides in the frontier instead of being recomputed
+        for its trace pointer."""
+        calls = []
+
+        def canonical(state):
+            calls.append(state)
+            return state
+
+        result = ModelChecker([0], counter_rules(5), [],
+                              track_traces=track_traces,
+                              canonicalize=canonical).run()
+        assert len(calls) == result.transitions + 1
+
+    def test_traces_use_canonical_parent_keys(self):
+        """Counterexample traces walk parent *keys*, so a state reached
+        through a symmetric twin still reports a real path."""
+        def rules(state):
+            a, b = state
+            if a < 2:
+                yield ("a", (a + 1, b))
+            if b < 2:
+                yield ("b", (a, b + 1))
+
+        def not_both_two(state):
+            return state != (2, 2)
+
+        mc = ModelChecker([(0, 0)], [rules], [not_both_two],
+                          canonicalize=lambda s: tuple(sorted(s)))
+        with pytest.raises(InvariantViolation) as info:
+            mc.run()
+        assert len(info.value.trace) == 4
+        assert set(info.value.trace) <= {"a", "b"}

@@ -1,8 +1,10 @@
-"""Stats counters and seeded RNG streams."""
+"""Stats counters, the latency quantile and seeded RNG streams."""
+
+import pytest
 
 from repro.common import Stats
 from repro.common.rng import derive_seed, stream
-from repro.common.stats import remote_misses, total_messages
+from repro.common.stats import quantile, remote_misses, total_messages
 
 
 class TestStats:
@@ -55,6 +57,49 @@ class TestStats:
         s.inc("msg.sent.GETS", 2)
         s.inc("msg.sent.UPDATE", 5)
         assert total_messages(s) == 7
+
+
+class TestQuantile:
+    """Nearest-rank quantile over ``(value, count)`` pairs."""
+
+    def test_empty_is_none(self):
+        assert quantile([], 0.5) is None
+        assert quantile([(100, 0)], 0.95) is None
+
+    def test_single_value(self):
+        assert quantile([(408, 1)], 0.0) == 408
+        assert quantile([(408, 1)], 0.5) == 408
+        assert quantile([(408, 7)], 0.95) == 408
+
+    def test_ties_resolve_to_the_tied_value(self):
+        # Ranks 2..9 of ten all sit on 200.
+        pairs = [(100, 1), (200, 8), (300, 1)]
+        assert quantile(pairs, 0.2) == 200
+        assert quantile(pairs, 0.5) == 200
+        assert quantile(pairs, 0.9) == 200
+        assert quantile(pairs, 0.95) == 300
+
+    def test_p50_p95_hand_built(self):
+        # 20 samples: 10 at 10, 8 at 20, 1 at 30, 1 at 40.  Nearest rank:
+        # p50 -> rank 10 (last 10), p95 -> rank 19 (the 30).
+        pairs = [(40, 1), (20, 8), (10, 10), (30, 1)]
+        assert quantile(pairs, 0.5) == 10
+        assert quantile(pairs, 0.95) == 30
+        assert quantile(pairs, 1.0) == 40
+
+    def test_repeated_values_merge(self):
+        """Per-class counts merge by concatenation."""
+        merged = [(10, 3), (20, 1)] + [(10, 1), (20, 5)]
+        assert quantile(merged, 0.5) == 20
+        assert quantile(merged, 0.4) == 10
+
+    def test_integer_order_not_lexical(self):
+        # As strings "1000" < "300"; the answer must be numeric.
+        assert quantile([[1000, 1], [300, 1]], 0.5) == 300
+
+    def test_out_of_range_q_rejected(self):
+        with pytest.raises(ValueError):
+            quantile([(1, 1)], 1.5)
 
 
 class TestRng:
