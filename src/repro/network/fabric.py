@@ -159,8 +159,10 @@ class Fabric:
         if chaos is not None:
             dup_arrival = chaos.duplicate_arrival(msg, arrival)
             if dup_arrival is not None:
-                # A fresh copy so the two deliveries never share a mutable
-                # payload dict (handlers write into payloads).
+                # The duplicate is its own packet with its own payload
+                # copy.  No handler writes into a payload (broadcast
+                # payloads are read-only proxies shared across the push),
+                # so the copy is not what keeps the two deliveries apart.
                 dup = Message(msg.mtype, src=src, dst=dst,
                               addr=msg.addr, value=msg.value,
                               payload=dict(msg.payload))

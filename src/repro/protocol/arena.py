@@ -40,6 +40,8 @@ conformance status in the lint report instead (see
 :func:`repro.lint.run_lint`).
 """
 
+from types import MappingProxyType
+
 from ..common import stats as S
 from ..common.errors import ConfigError
 from ..directory.state import DirState
@@ -211,10 +213,10 @@ class MesiHub(WriteInvalidateHub):
                 entry.sharers, requester, self.config.num_nodes)
             upgrade = (requester in entry.sharers
                        and msg.payload.get("has_copy", False))
+            inv_payload = MappingProxyType({"collector": requester})
             for target in sorted(targets):
                 self.send(Message(MsgType.INV, src=self.node, dst=target,
-                                  addr=addr,
-                                  payload={"collector": requester}))
+                                  addr=addr, payload=inv_payload))
             hops = 3 if targets else 2
             entry.state = DirState.EXCL
             entry.owner = requester
@@ -347,11 +349,12 @@ class DragonHub(Hub):
             self.tracer.update_push(self.node, addr, self.events.now,
                                     targets=len(targets), pruned=0)
         self._publish_wait[addr] = {"missing": len(targets), "value": value}
+        update_payload = MappingProxyType({"hops": 2, "ack": True})
         for consumer in targets:
             self.stats.inc(S.UPDATES_SENT)
             self.send(Message(MsgType.UPDATE, src=self.node, dst=consumer,
                               addr=addr, value=value,
-                              payload={"hops": 2, "ack": True}))
+                              payload=update_payload))
 
     def _on_update_ack(self, msg):
         wait = self._publish_wait.get(msg.addr)

@@ -12,6 +12,8 @@ the wire; directory-only actions (forwards, invalidations, NACKs) leave
 immediately after the hub occupancy already charged by the fabric.
 """
 
+from types import MappingProxyType
+
 from ..common import stats as S
 from ..directory.state import DirState
 from ..network.message import Message, MsgType
@@ -139,10 +141,11 @@ class HomeMixin:
                 entry.sharers, requester, self.config.num_nodes)
             upgrade = (requester in entry.sharers
                        and msg.payload.get("has_copy", False))
+            # One read-only payload shared by the whole fan-out.
+            inv_payload = MappingProxyType({"collector": requester})
             for target in sorted(targets):
                 self.send(Message(MsgType.INV, src=self.node, dst=target,
-                                  addr=addr,
-                                  payload={"collector": requester}))
+                                  addr=addr, payload=inv_payload))
             hops = 3 if targets else 2
             if delegate_now:
                 self._initiate_delegation(entry, requester,

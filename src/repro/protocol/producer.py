@@ -15,6 +15,8 @@ as sharers, so the next invalidation reaches their RAC copies; that is why
 the mechanism stays sequentially consistent.
 """
 
+from types import MappingProxyType
+
 from ..cache.line import LineState
 from ..common import stats as S
 from ..directory.state import DirectoryEntry, DirState
@@ -162,9 +164,10 @@ class ProducerMixin:
         targets = sorted(self.dir_format.invalidation_targets(
             pentry.sharers, self.node, self.config.num_nodes))
         pentry.busy = BusyRecord(BusyKind.INVALIDATING)
+        inv_payload = MappingProxyType({"collector": self.node})
         for target in targets:
             self.send(Message(MsgType.INV, src=self.node, dst=target,
-                              addr=addr, payload={"collector": self.node}))
+                              addr=addr, payload=inv_payload))
         pentry.state = DirState.EXCL
         pentry.owner = self.node
         pentry.sharers = pentry.sharers - {self.node}  # preserved vector
@@ -321,14 +324,15 @@ class ProducerMixin:
             # MsgType.UPDATE_ACK); home-self updates need no acks because
             # the home's later INVs share the update's FIFO channel.
             entry.pending_updates += len(targets)
+        # Acks gate undelegation draining, so only *delegated* lines
+        # request them; home-self updates (the common first-touch case)
+        # stay single-message, matching the paper's traffic model.
+        update_payload = MappingProxyType({"hops": 2, "ack": delegated})
         for consumer in targets:
             self.stats.inc(S.UPDATES_SENT)
-            # Acks gate undelegation draining, so only *delegated* lines
-            # request them; home-self updates (the common first-touch case)
-            # stay single-message, matching the paper's traffic model.
             self.send(Message(MsgType.UPDATE, src=self.node, dst=consumer,
                               addr=addr, value=value,
-                              payload={"hops": 2, "ack": delegated}))
+                              payload=update_payload))
 
     def _acting_home_entry(self, addr):
         """The directory entry this node controls for ``addr``, if any.

@@ -16,10 +16,16 @@ Race handling follows the SGI idiom the paper adopts (§2.3.4):
   line is NACKed back to the home, which retries it.
 """
 
+from types import MappingProxyType
+
 from ..cache.line import LineState, RacKind
 from ..common import stats as S
-from ..network.message import Message, MsgType
+from ..network.message import EMPTY_PAYLOAD, Message, MsgType
 from .transactions import MissKind, OutstandingMiss, PathClass
+
+#: The INV_ACK payload of an INV that dropped an unread update; every
+#: other INV_ACK carries :data:`EMPTY_PAYLOAD`.
+WASTED_UPDATE_PAYLOAD = MappingProxyType({"wasted_update": True})
 
 
 class RequesterMixin:
@@ -330,7 +336,8 @@ class RequesterMixin:
         # selective-update filter prunes persistent non-consumers on it.
         self.send(Message(MsgType.INV_ACK, src=self.node, dst=collector,
                           addr=msg.addr,
-                          payload={"wasted_update": wasted_update}))
+                          payload=(WASTED_UPDATE_PAYLOAD if wasted_update
+                                   else EMPTY_PAYLOAD)))
 
     def _on_intervention(self, msg):
         mode = msg.payload.get("mode", "shared")

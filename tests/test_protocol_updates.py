@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common import small
+from repro.network.message import EMPTY_PAYLOAD, MsgType
+from repro.protocol.requester import WASTED_UPDATE_PAYLOAD
 from repro.sim import Barrier, Compute, Read, System, Write
 
 from test_protocol_delegation import LINE, pc_ops
@@ -11,6 +13,25 @@ from test_protocol_delegation import LINE, pc_ops
 @pytest.fixture
 def upd4():
     return small(num_nodes=4)
+
+
+def leaving_consumer_ops():
+    """Producer 1 writes every round; consumer 2 reads only in the first
+    five, so later pushes to it are invalidated unread."""
+    ops = [[] for _ in range(4)]
+    bid = 0
+    for it in range(12):
+        ops[1].append(Write(LINE))
+        for s in ops:
+            s.append(Barrier(bid))
+        bid += 1
+        if it < 5:
+            ops[2].append(Compute(300))
+            ops[2].append(Read(LINE))
+        for s in ops:
+            s.append(Barrier(bid))
+        bid += 1
+    return ops
 
 
 class TestDelayedIntervention:
@@ -103,20 +124,7 @@ class TestUpdateAccuracy:
         those updates are invalidated unconsumed and counted wasted."""
         system = System(upd4)
         system.address_map.place_range(LINE, 128, 0)
-        ops = [[] for _ in range(4)]
-        bid = 0
-        for it in range(12):
-            ops[1].append(Write(LINE))
-            for s in ops:
-                s.append(Barrier(bid))
-            bid += 1
-            if it < 5:  # consumer 2 reads only in early iterations
-                ops[2].append(Compute(300))
-                ops[2].append(Read(LINE))
-            for s in ops:
-                s.append(Barrier(bid))
-            bid += 1
-        res = system.run(ops)
+        res = system.run(leaving_consumer_ops())
         assert res.stats.get("update.wasted", 0) >= 1
 
     def test_multiple_consumers_all_updated(self, upd4):
@@ -151,3 +159,83 @@ class TestSequentialConsistencyUnderUpdates:
         res = system.run(ops)
         assert res.stats.get("update.sent", 0) > 0
         assert res.cycles > 0
+
+
+def record_sends(system):
+    """Wrap every hub's ``send``; returns the list of (now, src, mtype,
+    payload) tuples it fills.  Only the payload is kept, never the
+    message: a held message would stay out of the pool, and a pooled one
+    has its payload reset on release."""
+    sent = []
+    events = system.events
+    for hub in system.hubs:
+        def send(msg, forward=hub.send):
+            sent.append((events.now, msg.src, msg.mtype, msg.payload))
+            forward(msg)
+        hub.send = send
+    return sent
+
+
+def fan_outs(sent, mtype):
+    """Sends of ``mtype`` grouped by (cycle, sender): one group per
+    broadcast, since a fan-out leaves one hub within one event."""
+    groups = {}
+    for now, src, kind, payload in sent:
+        if kind is mtype:
+            groups.setdefault((now, src), []).append(payload)
+    return list(groups.values())
+
+
+class TestSharedBroadcastPayloads:
+    """A broadcast builds its payload once, as a read-only mapping that
+    every message of the fan-out shares."""
+
+    def assert_shared(self, groups):
+        assert any(len(group) > 1 for group in groups)
+        for group in groups:
+            assert all(payload is group[0] for payload in group)
+            with pytest.raises(TypeError):
+                group[0]["collector"] = 99
+
+    def three_readers_then_writer(self, config):
+        """Nodes 0, 2 and 3 read the line, then node 1 writes it."""
+        system = System(config)
+        system.address_map.place_range(LINE, 128, 0)
+        sent = record_sends(system)
+        system.run([[Read(LINE), Barrier(0)], [Barrier(0), Write(LINE)],
+                    [Read(LINE), Barrier(0)], [Read(LINE), Barrier(0)]])
+        return sent
+
+    def test_home_inv_fan_out_shares_one_payload(self, base4):
+        groups = fan_outs(self.three_readers_then_writer(base4), MsgType.INV)
+        assert [len(group) for group in groups] == [3]
+        self.assert_shared(groups)
+        assert dict(groups[0][0]) == {"collector": 1}
+
+    def test_producer_inv_and_update_pushes_share_one_payload(self, upd4):
+        system = System(upd4)
+        system.address_map.place_range(LINE, 128, 0)
+        sent = record_sends(system)
+        res = system.run(pc_ops(iters=10, consumers=(2, 3)))
+        assert res.stats.get("dele.delegate", 0) >= 1
+        self.assert_shared(fan_outs(sent, MsgType.INV))
+        self.assert_shared(fan_outs(sent, MsgType.UPDATE))
+
+    def test_plain_inv_ack_carries_empty_payload(self, base4):
+        sent = self.three_readers_then_writer(base4)
+        acks = [payload for _, _, kind, payload in sent
+                if kind is MsgType.INV_ACK]
+        assert len(acks) == 3
+        assert all(payload is EMPTY_PAYLOAD for payload in acks)
+
+    def test_inv_dropping_unread_update_reports_it(self, upd4):
+        system = System(upd4)
+        system.address_map.place_range(LINE, 128, 0)
+        sent = record_sends(system)
+        res = system.run(leaving_consumer_ops())
+        acks = [payload for _, _, kind, payload in sent
+                if kind is MsgType.INV_ACK]
+        assert any(payload is WASTED_UPDATE_PAYLOAD for payload in acks)
+        assert all(payload is EMPTY_PAYLOAD
+                   or payload is WASTED_UPDATE_PAYLOAD for payload in acks)
+        assert res.stats.get("update.strike", 0) >= 1

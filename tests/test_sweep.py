@@ -6,7 +6,9 @@ run — including the determinism-under-process-isolation guarantee the
 cache relies on.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -102,10 +104,35 @@ class TestSerialEngine:
         assert "no_such_app" in err.value.worker_traceback
 
     def test_gc_state_restored_after_serial_batch(self):
-        import gc
         assert gc.isenabled()
         SweepEngine().run_many([job()])
         assert gc.isenabled()
+
+    def test_gc_state_restored_when_a_later_job_fails(self):
+        assert gc.isenabled()
+        with pytest.raises(SweepError):
+            SweepEngine().run_many([job(), job(app="no_such_app")])
+        assert gc.isenabled()
+
+    def test_finished_system_freed_before_next_job(self, monkeypatch):
+        """Regression: a serial batch pauses the cyclic GC and every
+        System is cyclic, so without a collect at each job boundary a
+        batch held all of its Systems until the end."""
+        from repro.sim.system import System
+
+        made, alive_at_construction = [], []
+        original_init = System.__init__
+
+        def recording_init(self, *args, **kwargs):
+            alive_at_construction.append(
+                sum(ref() is not None for ref in made))
+            made.append(weakref.ref(self))
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", recording_init)
+        SweepEngine().run_many([job(), job(app="lu"), job(seed=7)])
+        assert len(made) == 3
+        assert alive_at_construction == [0, 0, 0]
 
 
 class TestWorkerClamp:
