@@ -67,19 +67,6 @@ def test_event_queue_throughput(benchmark):
     benchmark(burst)
 
 
-def test_event_queue_batched_schedule(benchmark):
-    """schedule_many + run: the batched push/pop path of the rewrite."""
-    nop = lambda: None
-    batch = [(i % 97, nop, ()) for i in range(1000)]
-
-    def burst():
-        events = EventQueue()
-        events.schedule_many(batch)
-        events.run()
-
-    benchmark(burst)
-
-
 def test_message_pool_acquire_release(benchmark):
     """Message construction through the free-list pool (steady state:
     every release feeds the next acquire, so no allocation occurs)."""

@@ -16,7 +16,6 @@ message pool's quiescence point: after a handler returns, a message whose
 refcount proves no one retained it goes back to the free list.
 """
 
-from heapq import heappush
 from sys import getrefcount
 
 from ..common.stats import MSG_BYTES
@@ -127,8 +126,9 @@ class Fabric:
         dst = msg.dst
         remote = src != dst
         events = self.events
+        now = events.now
         if self._tracer is not None:
-            self._tracer.msg_send(msg, events.now, remote)
+            self._tracer.msg_send(msg, now, remote)
         if remote:
             index = msg.mtype.index
             counters = self._counters
@@ -137,7 +137,7 @@ class Fabric:
         row = self._latency_rows[src]
         if row is None:
             row = self._latency_row(src)
-        arrival = events._now + row[dst]
+        arrival = now + row[dst]
         chaos = self._chaos if remote else None
         if chaos is not None:
             arrival = chaos.arrival(msg, arrival)
@@ -147,15 +147,7 @@ class Fabric:
             start = arrival
         deliver_at = start + self._occupancy
         busy[dst] = deliver_at
-        if chaos is None:
-            # Structural invariant: arrival = now + non-negative latency,
-            # and busy_until never moves backwards, so the unchecked
-            # inlined push (the body of EventQueue.push_at) is safe here.
-            heappush(events._heap,
-                     (deliver_at, events._seq, self._deliver, (msg,)))
-            events._seq += 1
-        else:
-            events.schedule_at(deliver_at, self._deliver, msg)
+        events.schedule_at(deliver_at, self._deliver, msg)
         if chaos is not None:
             dup_arrival = chaos.duplicate_arrival(msg, arrival)
             if dup_arrival is not None:
@@ -188,16 +180,14 @@ class Fabric:
         row = self._latency_rows[src]
         if row is None:
             row = self._latency_row(src)
-        arrival = events._now + row[dst]
+        arrival = events.now + row[dst]
         busy = self._busy_until
         start = busy[dst]
         if arrival > start:
             start = arrival
         deliver_at = start + self._occupancy
         busy[dst] = deliver_at
-        heappush(events._heap,
-                 (deliver_at, events._seq, self._deliver, (msg,)))
-        events._seq += 1
+        events.schedule_at(deliver_at, self._deliver, msg)
 
     def _deliver(self, msg):
         dst = msg.dst

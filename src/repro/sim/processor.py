@@ -12,8 +12,6 @@ and a blocking CPU preserves the *relative* cost of local vs. 2-hop vs.
 3-hop misses that drives every result being reproduced.
 """
 
-from heapq import heappush
-
 from ..common.errors import SimulationError
 from . import trace
 
@@ -63,12 +61,7 @@ class Processor:
         cls = op.__class__
         if cls is trace.Compute:
             cycles = op.cycles
-            events = self.events
-            # Inlined push_at: delays are >= 1 by construction.
-            heappush(events._heap,
-                     (events._now + (cycles if cycles > 1 else 1),
-                      events._seq, self._step, ()))
-            events._seq += 1
+            self.events.schedule(cycles if cycles > 1 else 1, self._step)
         elif cls is trace.Read:
             self._do_read(op.addr & self._line_mask)
         elif cls is trace.Write:
@@ -86,14 +79,11 @@ class Processor:
             latency = result.latency
             self._counters["hit.l1" if latency == self._l1_latency
                            else "hit.l2"] += 1
-            events = self.events
-            now = events._now
             if self._record_read is not None:
+                now = self.events.now
                 self._record_read(self.node, addr, result.value,
                                   now, now + latency)
-            heappush(events._heap,
-                     (now + latency, events._seq, self._step, ()))
-            events._seq += 1
+            self.events.schedule(latency, self._step)
             return
         start = self.events.now
         self._blocked_since = start
@@ -126,14 +116,11 @@ class Processor:
         result = self._hier_write(addr, value)
         if result.hit:
             latency = result.latency
-            events = self.events
-            now = events._now
             if self._record_write is not None:
+                now = self.events.now
                 self._record_write(self.node, addr, value,
                                    now, now + latency)
-            heappush(events._heap,
-                     (now + latency, events._seq, self._step, ()))
-            events._seq += 1
+            self.events.schedule(latency, self._step)
             return
         start = self.events.now
         self._blocked_since = start

@@ -1,6 +1,6 @@
 """Determinism guarantees of the sim-core hot-path rewrite.
 
-The pooled/slotted message, pre-bound dispatch and batched event queue
+The pooled/slotted message, pre-bound dispatch and bucketed event queue
 must be *invisible*: a fixed seed produces the same stats dict, the same
 trace bytes, the same ``Msg#`` numbering and the same fuzz digests as the
 pre-rewrite simulator.  The golden file ``tests/golden/
@@ -142,48 +142,65 @@ class TestPayloadAliasing:
 
 
 class TestBatchedQueueOrdering:
-    """schedule_many preserves the same-cycle seq tie-break semantics."""
+    """A cycle's bucket fires in the order its events were scheduled.
 
-    def test_batch_matches_serial_order(self):
-        serial = EventQueue()
-        fired_serial = []
-        for tag in ("a", "b", "c"):
-            serial.schedule(5, fired_serial.append, tag)
-        serial.schedule(0, fired_serial.append, "early")
-        serial.run()
-
-        batched = EventQueue()
-        fired_batched = []
-        batched.schedule_many([
-            (5, fired_batched.append, ("a",)),
-            (5, fired_batched.append, ("b",)),
-            (5, fired_batched.append, ("c",)),
-            (0, fired_batched.append, ("early",)),
-        ])
-        batched.run()
-        assert fired_batched == fired_serial == ["early", "a", "b", "c"]
+    A "batch" is a run of events scheduled back to back for one cycle; a
+    "push" is an event scheduled from inside a firing callback, which is how
+    the fabric and the processors enqueue deliveries and completions.
+    """
 
     def test_batch_interleaves_with_singles_by_seq(self):
         ev = EventQueue()
         fired = []
         ev.schedule(3, fired.append, 1)
-        ev.schedule_many([(3, fired.append, (2,)), (3, fired.append, (3,))])
+        ev.schedule_at(3, fired.append, 2)
+        ev.schedule_at(3, fired.append, 3)
         ev.schedule(3, fired.append, 4)
         ev.run()
         assert fired == [1, 2, 3, 4]
 
-    def test_batch_validates_negative_delay(self):
-        ev = EventQueue()
-        with pytest.raises(ValueError):
-            ev.schedule_many([(1, lambda: None, ()), (-1, lambda: None, ())])
-        # The valid prefix was accepted; seq stayed consistent.
-        ev.schedule(0, lambda: None)
-        assert ev.pending == 2
-
     def test_push_at_matches_schedule_at_ordering(self):
         ev = EventQueue()
         fired = []
-        ev.schedule_at(7, fired.append, "checked")
-        ev.push_at(7, fired.append, "unchecked")
+
+        def push():
+            ev.schedule_at(7, fired.append, "pushed")
+            ev.schedule(5, fired.append, "pushed_rel")
+
+        ev.schedule_at(7, fired.append, "scheduled")
+        ev.schedule_at(2, push)
+        ev.schedule(7, fired.append, "scheduled_rel")
         ev.run()
-        assert fired == ["checked", "unchecked"]
+        assert fired == ["scheduled", "scheduled_rel", "pushed", "pushed_rel"]
+        assert ev.now == 7
+
+
+class TestSameCycleQueueOrdering:
+    """schedule and schedule_at share one cycle's scheduling order."""
+
+    def test_zero_delay_during_a_cycle_fires_after_its_rest(self):
+        ev = EventQueue()
+        fired = []
+
+        def first():
+            fired.append("first")
+            ev.schedule(0, fired.append, "nested")
+            ev.schedule_at(5, fired.append, "nested_at")
+
+        ev.schedule_at(5, first)
+        for tag in ("a", "b"):
+            ev.schedule(5, fired.append, tag)
+        ev.schedule(6, fired.append, "later")
+        ev.run()
+        assert fired == ["first", "a", "b", "nested", "nested_at", "later"]
+
+    def test_rejected_schedule_leaves_queue_unchanged(self):
+        ev = EventQueue()
+        ev.schedule(1, lambda: None)
+        with pytest.raises(ValueError):
+            ev.schedule(-1, lambda: None)
+        ev.run()
+        with pytest.raises(ValueError):
+            ev.schedule_at(0, lambda: None)
+        assert ev.pending == 0
+        assert ev.processed == 1
