@@ -39,10 +39,8 @@ class RemoteAccessCache:
     def pinned_conflicts(self, addr):
         """Addresses of pinned DELEGATED entries mapping to ``addr``'s set;
         undelegating one of them frees a pin slot for ``addr``."""
-        target = self._cache.set_index(addr)
-        return [line.addr for line in self._cache.lines()
-                if line.pinned and line.kind is RacKind.DELEGATED
-                and self._cache.set_index(line.addr) == target]
+        return [line.addr for line in self._cache.set_lines(addr)
+                if line.pinned and line.kind is RacKind.DELEGATED]
 
     def lines(self):
         return self._cache.lines()

@@ -7,11 +7,16 @@ what the entries *mean* is up to the owning component.
 Addresses handed to this class must be line-aligned (callers align with
 ``SystemConfig.line_of``); alignment is asserted to catch misuse early.
 
-Hot-path notes: set dicts are materialised lazily (a 1 MB RAC is 2048
-sets, and constructing every simulated node's empty sets dominated cold
-sim construction in profiles), set indexing uses shift/mask when the
-geometry allows it, and alignment is a single AND against a precomputed
-mask.
+Storage is sparse, so a cache costs memory only for the sets a run
+touches: a flat ``addr -> CacheLine`` dict holds every resident line,
+and a dict from set index to that set's lines (in insertion order) is
+read only to choose a victim.  A 2 MB L2 is 4,096 sets and the
+256-node storm touches ~20 of each node's, so per-set storage built up
+front would dominate a large ``System``'s footprint.  Lookups
+(``probe``, ``access``, a missing ``invalidate``) are one alignment AND
+plus one dict operation; set indexing, shift/mask when the geometry
+allows it, is paid only when a new line is inserted or a resident one
+removed.
 """
 
 from operator import attrgetter
@@ -58,10 +63,12 @@ class SetAssociativeCache:
         num_sets = self._num_sets
         self._set_mask = (num_sets - 1 if num_sets & (num_sets - 1) == 0
                           else None)
-        # One dict per set, addr -> CacheLine, materialised on first touch.
-        # Dicts keep insertion order, which combined with last_use gives
-        # deterministic LRU victims.
-        self._sets = [None] * num_sets
+        # Every resident line by address, and each touched set's lines in
+        # insertion order (created on the set's first insert).  List order
+        # plus last_use gives deterministic LRU victims and a fixed
+        # candidate order for random replacement.
+        self._lines = {}
+        self._sets = {}
         self._clock = 0
         self._random_replacement = config.replacement == "random"
 
@@ -82,12 +89,9 @@ class SetAssociativeCache:
             % (self.name, addr, self._line_size)
         )
 
-    def _set_at(self, index):
-        """The set dict at ``index``, creating it on first touch."""
-        cache_set = self._sets[index]
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
-        return cache_set
+    def set_lines(self, addr):
+        """The resident lines of ``addr``'s set, in insertion order."""
+        return tuple(self._sets.get(self.set_index(addr), ()))
 
     # -- residency --------------------------------------------------------
 
@@ -95,21 +99,13 @@ class SetAssociativeCache:
         """Return the resident line for ``addr`` or None.  No LRU update."""
         if addr & self._align_mask:
             self._misaligned(addr)
-        index = addr >> self._line_shift
-        mask = self._set_mask
-        cache_set = self._sets[index & mask if mask is not None
-                               else index % self._num_sets]
-        return cache_set.get(addr) if cache_set is not None else None
+        return self._lines.get(addr)
 
     def access(self, addr):
         """Return the resident line and mark it most recently used."""
         if addr & self._align_mask:
             self._misaligned(addr)
-        index = addr >> self._line_shift
-        mask = self._set_mask
-        cache_set = self._sets[index & mask if mask is not None
-                               else index % self._num_sets]
-        line = cache_set.get(addr) if cache_set is not None else None
+        line = self._lines.get(addr)
         if line is not None:
             self._clock += 1
             line.last_use = self._clock
@@ -119,45 +115,25 @@ class SetAssociativeCache:
         return self.probe(addr) is not None
 
     def __len__(self):
-        return sum(len(s) for s in self._sets if s is not None)
+        return len(self._lines)
 
     def lines(self):
         """Iterate over all resident lines (set order, then insertion order)."""
-        for cache_set in self._sets:
-            if cache_set is not None:
-                yield from cache_set.values()
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index]
 
     # -- replacement --------------------------------------------------------
 
     def has_room(self, addr):
         """True if ``addr`` could be inserted without raising (hit, free way,
         or at least one unpinned victim in its set)."""
-        cache_set = self._sets[self.set_index(addr)]
+        cache_set = self._sets.get(self.set_index(addr))
         if cache_set is None:
             return True
-        if addr in cache_set or len(cache_set) < self._assoc:
+        if addr in self._lines or len(cache_set) < self._assoc:
             return True
-        return any(not line.pinned for line in cache_set.values())
-
-    def victim_for(self, addr):
-        """The line that would be evicted to make room for ``addr``.
-
-        Returns None when no eviction is needed (hit or free way) and raises
-        :class:`CacheCapacityError` when every way is pinned.
-        """
-        cache_set = self._sets[self.set_index(addr)]
-        if cache_set is None:
-            return None
-        if addr in cache_set or len(cache_set) < self._assoc:
-            return None
-        candidates = [line for line in cache_set.values() if not line.pinned]
-        if not candidates:
-            raise CacheCapacityError(
-                "%s: set %d is full of pinned lines" % (self.name, self.set_index(addr))
-            )
-        if self._random_replacement:
-            return self._rng.choice(candidates)
-        return min(candidates, key=_last_use_of)
+        return any(not line.pinned for line in cache_set)
 
     def insert(self, addr, state=LineState.SHARED, value=0, pinned=False,
                kind=None, dirty=False):
@@ -169,14 +145,8 @@ class SetAssociativeCache:
         """
         if addr & self._align_mask:
             self._misaligned(addr)
-        index = addr >> self._line_shift
-        mask = self._set_mask
-        index = index & mask if mask is not None else index % self._num_sets
-        cache_set = self._sets[index]
-        if cache_set is None:
-            cache_set = self._sets[index] = {}
         self._clock += 1
-        existing = cache_set.get(addr)
+        existing = self._lines.get(addr)
         if existing is not None:
             existing.state = state
             existing.value = value
@@ -186,12 +156,15 @@ class SetAssociativeCache:
                 existing.kind = kind
             existing.last_use = self._clock
             return None
+        index = addr >> self._line_shift
+        mask = self._set_mask
+        index = index & mask if mask is not None else index % self._num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = []
         evicted = None
         if len(cache_set) >= self._assoc:
-            # Inlined victim_for (it would recompute the set index): same
-            # candidate order, same rng draws, same error message.
-            candidates = [line for line in cache_set.values()
-                          if not line.pinned]
+            candidates = [line for line in cache_set if not line.pinned]
             if not candidates:
                 raise CacheCapacityError(
                     "%s: set %d is full of pinned lines" % (self.name, index))
@@ -199,22 +172,26 @@ class SetAssociativeCache:
                 evicted = self._rng.choice(candidates)
             else:
                 evicted = min(candidates, key=_last_use_of)
-            del cache_set[evicted.addr]
+            cache_set.remove(evicted)
+            del self._lines[evicted.addr]
         line = CacheLine(addr=addr, state=state, value=value, pinned=pinned,
                          dirty=dirty, last_use=self._clock)
         if kind is not None:
             line.kind = kind
-        cache_set[addr] = line
+        self._lines[addr] = line
+        cache_set.append(line)
         return evicted
 
     def invalidate(self, addr):
         """Remove ``addr`` from the cache; returns the removed line or None."""
-        cache_set = self._sets[self.set_index(addr)]
-        if cache_set is None:
-            return None
-        return cache_set.pop(addr, None)
+        if addr & self._align_mask:
+            self._misaligned(addr)
+        line = self._lines.pop(addr, None)
+        if line is not None:
+            self._sets[self.set_index(addr)].remove(line)
+        return line
 
     def clear(self):
-        for cache_set in self._sets:
-            if cache_set is not None:
-                cache_set.clear()
+        # In place: the coherence checker holds each L2's ``_lines``.
+        self._lines.clear()
+        self._sets.clear()

@@ -80,7 +80,13 @@ class ProducerTable:
 
 
 class ConsumerTable:
-    """Set-associative hint store: line address -> delegated home node."""
+    """Set-associative hint store: line address -> delegated home node.
+
+    Sparse, like :class:`repro.cache.SetAssociativeCache`: a flat
+    ``addr -> delegate`` dict answers lookups, and a dict from set index to
+    that set's addresses (in insertion order, created on the set's first
+    insert) is read only to choose a victim.
+    """
 
     def __init__(self, config, rng, line_size=128):
         self.capacity = config.entries
@@ -91,29 +97,40 @@ class ConsumerTable:
         # hard-coded >>7 at 256-byte lines) consecutive lines land only on
         # every other set, halving the table's effective capacity.
         self._shift = line_size.bit_length() - 1
-        self._sets = [dict() for _ in range(self.num_sets)]
+        self._hints = {}
+        self._sets = {}
 
-    def _set_for(self, addr):
-        return self._sets[(addr >> self._shift) % self.num_sets]
+    def _set_index(self, addr):
+        return (addr >> self._shift) % self.num_sets
 
     def lookup(self, addr):
         """The hinted delegated home for ``addr``, or None."""
-        return self._set_for(addr).get(addr)
+        return self._hints.get(addr)
 
     def insert(self, addr, delegate):
         """Record (or refresh) a delegation hint; random replacement."""
-        hint_set = self._set_for(addr)
-        if addr not in hint_set and len(hint_set) >= self.assoc:
-            victim = self._rng.choice(list(hint_set.keys()))
-            del hint_set[victim]
-        hint_set[addr] = delegate
+        hints = self._hints
+        if addr not in hints:
+            index = self._set_index(addr)
+            hint_set = self._sets.get(index)
+            if hint_set is None:
+                hint_set = self._sets[index] = []
+            if len(hint_set) >= self.assoc:
+                victim = self._rng.choice(hint_set)
+                hint_set.remove(victim)
+                del hints[victim]
+            hint_set.append(addr)
+        hints[addr] = delegate
 
     def remove(self, addr):
         """Drop a stale hint (after a NACK_NOT_HOME)."""
-        return self._set_for(addr).pop(addr, None)
+        if addr not in self._hints:
+            return None
+        self._sets[self._set_index(addr)].remove(addr)
+        return self._hints.pop(addr)
 
     def __contains__(self, addr):
-        return addr in self._set_for(addr)
+        return addr in self._hints
 
     def __len__(self):
-        return sum(len(s) for s in self._sets)
+        return len(self._hints)

@@ -38,12 +38,10 @@ class CoherenceChecker:
         self._version = 0
         self.reads_checked = 0
         self.writes_checked = 0
-        # (node, l2._sets) pairs plus the shared set-index geometry,
-        # cached on first use: hubs are attached to the system after the
-        # checker is built, and the single-writer scan walks them on
-        # every committed write.
+        # (node, l2._lines) pairs, cached on first use: hubs are attached
+        # to the system after the checker is built, and the single-writer
+        # scan walks them on every committed write.
         self._scan_targets = None
-        self._scan_geometry = None
 
     def next_version(self):
         """A globally unique value for the next store."""
@@ -113,31 +111,18 @@ class CoherenceChecker:
 
     def _check_single_writer(self, writer, line_addr):
         # The scan probes every node's L2 on every committed write, so it
-        # reaches into SetAssociativeCache internals (the per-set dict
-        # list and its indexing geometry) instead of paying a probe()
-        # frame per node.  ``_sets`` identity is stable: lazy set creation
-        # replaces elements, never the list.  All nodes share one L2
-        # geometry (one SystemConfig per run), so the set index is
-        # computed once per write, not once per node.
+        # reads each SetAssociativeCache's flat address -> line dict
+        # instead of paying a probe() frame per node.  ``_lines`` identity
+        # is stable: the cache only ever mutates it in place.
         targets = self._scan_targets
         if targets is None:
-            l2s = [(hub.node, hub.hierarchy.l2) for hub in self.system.hubs]
-            geometry = {(l2._line_shift, l2._set_mask, l2._num_sets)
-                        for _node, l2 in l2s}
-            if len(geometry) != 1:  # defensive; cannot happen today
-                raise CoherenceViolation(
-                    "nodes disagree on L2 geometry: %r" % geometry)
-            self._scan_geometry = geometry.pop()
             targets = self._scan_targets = [
-                (node, l2._sets) for node, l2 in l2s]
-        shift, mask, num_sets = self._scan_geometry
-        index = line_addr >> shift
-        index = index & mask if mask is not None else index % num_sets
-        for node, sets in targets:
+                (hub.node, hub.hierarchy.l2._lines)
+                for hub in self.system.hubs]
+        for node, lines in targets:
             if node == writer:
                 continue
-            cache_set = sets[index]
-            line = cache_set.get(line_addr) if cache_set is not None else None
+            line = lines.get(line_addr)
             if line is not None and line.state.writable:
                 raise CoherenceViolation(
                     "single-writer violated on line 0x%x: node %d completed "

@@ -108,6 +108,26 @@ class TestSurrogateMemoryRole:
         conflicts = rac.pinned_conflicts(3 * sets * 128)
         assert sorted(conflicts) == [0, sets * 128]
 
+    def test_pinned_conflicts_reads_only_the_target_set(self, rac_and_stats):
+        rac, _ = rac_and_stats
+        sets = 4096 // 128 // 4
+        stride = sets * 128
+        rac.pin_delegated(3 * stride + 128, value=1)  # set 1, pinned
+        rac.pin_delegated(2 * stride, value=2)        # set 0, pinned
+        rac.insert_victim(128, value=3)               # set 1, unpinned
+        rac.pin_delegated(stride + 128, value=4)      # set 1, pinned
+        rac.insert_update(2 * stride + 128, value=5)  # set 1, unpinned
+        rac.pin_delegated(stride, value=6)            # set 0, pinned
+        rac.pin_delegated(5 * 128, value=7)           # set 5, pinned
+        rac.pin_delegated(2 * 128, value=8)           # set 2, later unpinned
+        rac.unpin(2 * 128)
+        # Insertion order within the set, not address order.
+        assert rac.pinned_conflicts(128) == [3 * stride + 128, stride + 128]
+        assert rac.pinned_conflicts(4 * stride) == [2 * stride, stride]
+        assert rac.pinned_conflicts(5 * 128) == [5 * 128]
+        assert rac.pinned_conflicts(2 * 128) == []
+        assert rac.pinned_conflicts(7 * 128) == []
+
     def test_invalidate_removes_pinned(self, rac_and_stats):
         rac, _ = rac_and_stats
         rac.pin_delegated(0, value=1)
