@@ -42,9 +42,6 @@ class RemoteAccessCache:
         return [line.addr for line in self._cache.set_lines(addr)
                 if line.pinned and line.kind is RacKind.DELEGATED]
 
-    def lines(self):
-        return self._cache.lines()
-
     # -- read path ----------------------------------------------------------
 
     def lookup_data(self, addr):

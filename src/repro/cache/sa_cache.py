@@ -190,8 +190,3 @@ class SetAssociativeCache:
         if line is not None:
             self._sets[self.set_index(addr)].remove(line)
         return line
-
-    def clear(self):
-        # In place: the coherence checker holds each L2's ``_lines``.
-        self._lines.clear()
-        self._sets.clear()

@@ -37,8 +37,35 @@ class CheckResult:
     rule_counts: Dict[str, int] = field(default_factory=dict)
 
 
+def _collapse(key, shared):
+    """``key`` rebuilt from the first equal copy, in ``shared``, of each of
+    its top-level components and of each element inside one of them.
+
+    Collapse compression (SPIN's term): distinct states share most of their
+    components, so the visited set holds one copy of each.  Equality decides
+    what is shared, so ``0`` may come back as ``False``: the result is only
+    ever a lookup key, never a state handed to a rule."""
+    if type(key) is not tuple:
+        return key
+    parts = []
+    for part in key:
+        try:
+            part = shared[part]
+        except KeyError:
+            if type(part) is tuple:
+                part = tuple([shared.setdefault(item, item) for item in part])
+            shared[part] = part
+        parts.append(part)
+    return tuple(parts)
+
+
 class ModelChecker:
-    """Breadth-first exhaustive reachability with invariant checking."""
+    """Breadth-first exhaustive reachability with invariant checking.
+
+    The visited set (or, with traces, the parent map) is collapse-compressed:
+    a newly visited state's key is rebuilt from components already stored,
+    so each distinct component and rule label is held once per run.  The
+    frontier keeps the real successor states the rules produced."""
 
     def __init__(self, initial_states, rules, invariants, quiescent=None,
                  max_states=2_000_000, track_traces=True, canonicalize=None):
@@ -68,9 +95,11 @@ class ModelChecker:
         visited = self._parents if self.track_traces else set()
         rule_counts = {}
         transitions = 0
+        shared = {}  # one stored copy of each distinct key part and label
         for state in self.initial_states:
             key = self.canonicalize(state)
             if key not in visited:
+                key = _collapse(key, shared)
                 if self.track_traces:
                     self._parents[key] = None
                 else:
@@ -94,8 +123,10 @@ class ModelChecker:
                     if len(visited) >= self.max_states:
                         raise StateSpaceExceeded(
                             "more than %d states reachable" % self.max_states)
+                    key = _collapse(key, shared)
                     if self.track_traces:
-                        self._parents[key] = (state_key, label)
+                        self._parents[key] = (state_key,
+                                              shared.setdefault(label, label))
                     else:
                         visited.add(key)
                     max_depth = max(max_depth, state_depth + 1)

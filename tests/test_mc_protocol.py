@@ -12,6 +12,9 @@ copy — the checker finds that counterexample, demonstrating the protocol's
 ordering assumption is load-bearing.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.common.errors import DeadlockError, InvariantViolation
@@ -66,7 +69,8 @@ class TestDelegationProtocol:
     def test_two_consumers_verify(self):
         model = ProtocolModel(num_nodes=4, writers=(1,), readers=(2, 3))
         result = check(model)
-        assert result.states_explored > 1000
+        assert (result.states_explored, result.transitions,
+                result.max_depth) == (545_619, 2_441_623, 51)
 
     def test_recall_races_explored(self):
         """Home-initiated undelegation and its NACK(gone/busy) races."""
@@ -134,3 +138,28 @@ class TestValueSymmetry:
         s2 = (3, (("S", 3), ("I", 0), ("I", 0)), base[2], base[3],
               ("S", frozenset({0}), None, 3, None), None, base[6], ())
         assert model.canonical(s1) == model.canonical(s2)
+
+
+class TestVisitedSetFootprint:
+    def test_four_node_check_peak_is_bounded(self):
+        """tracemalloc's peak over ``run`` is deterministic, unlike RSS.
+        Collapse compression stores each distinct key component once:
+        this check peaks near 3 MB; with a private copy of every component
+        per visited state it peaked near 15 MB."""
+        # `repro verify --nodes 4 --no-delegation`, as cmd_verify builds it.
+        model = ProtocolModel(num_nodes=4, writers=(1,), readers=(2, 3),
+                              enable_delegation=False, enable_updates=False)
+        mc = ModelChecker(model.initial_states(), model.rules(),
+                          ALL_INVARIANTS, quiescent=model.quiescent,
+                          track_traces=False, canonicalize=model.canonical)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = mc.run()
+            _traced, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (result.states_explored, result.transitions,
+                result.max_depth) == (13379, 45918, 38)
+        assert peak < 8 * 2 ** 20, "run() peak %.1f MB traced" % (
+            peak / 2 ** 20)

@@ -92,12 +92,6 @@ class TestResidency:
         assert cache.probe(0).value == 2
         assert len(cache) == 1
 
-    def test_clear(self):
-        cache = make_cache()
-        cache.insert(0)
-        cache.clear()
-        assert len(cache) == 0
-
 
 class TestLru:
     def test_evicts_least_recently_used(self):
